@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel",
         choices=("auto", "vector", "scalar"),
         default="auto",
-        help="PHY kernel: auto (default; vectorized cohorts at >=1000 "
+        help="PHY kernel: auto (default; vectorized cohorts at >=5000 "
         "nodes, scalar reference below), or force one",
     )
     sim_g.add_argument(

@@ -13,7 +13,9 @@ world building (with the field cache), the event kernel, the PHY
 fan-out, the MAC, the diffusion schemes — while staying bounded:
 ``canonical`` (the headline) and its CI-smoke variant ``quick`` cover
 the paper's density band; ``large`` and ``large-quick`` run thousands of
-nodes on an 800 m field, the regime the vectorized PHY kernel targets.
+nodes on an 800 m field.  ``kernel="auto"`` runs them on the scalar PHY
+kernel except the 5 000-node run of ``large``, where the two kernels
+measured a tie (``VECTOR_KERNEL_MIN_NODES``).
 
 When ``workers`` is given, the same configs also run through the
 hardened parallel executor and the results are checked for exact
@@ -56,9 +58,9 @@ BENCH_VERSION = 1
 #:   schemes, paired trials.
 #: * ``quick`` — CI-smoke variant of canonical (~10x cheaper).
 #: * ``large`` — the scale profile: 2 000–5 000 nodes on an 800 m field
-#:   (mean radio degree ~16..39), single scheme/trial, short runs.  This
-#:   is the regime the vectorized PHY kernel exists for; it also feeds
-#:   the large-field density figure.
+#:   (mean radio degree ~16..39), single scheme/trial, short runs.  The
+#:   ``auto`` kernel rule switches to the vectorized PHY inside it (at
+#:   5 000 nodes); it also feeds the large-field density figure.
 #: * ``large-quick`` — CI-smoke variant of large (one 2 000-node run).
 #: * ``pathloss`` — canonical geometry under the pathloss/SINR channel
 #:   (default :class:`~repro.net.channel.ChannelSpec` pathloss block):

@@ -163,9 +163,11 @@ def _place_sources(
 
 
 #: ``kernel="auto"`` switches to the vectorized PHY at this node count.
-#: Below it, numpy per-call overhead on small fan-outs makes the scalar
-#: path faster; above it, batched cohorts win (see DESIGN.md §13).
-VECTOR_KERNEL_MIN_NODES = 1000
+#: No measured size favours the vector kernel: on the large-field
+#: geometry the scalar path is 1.4-1.7x faster at 1 000-3 500 nodes and
+#: the two tie at 5 000 (see DESIGN.md §13), so the switch sits at the
+#: tie and ``auto`` runs scalar wherever scalar was measured faster.
+VECTOR_KERNEL_MIN_NODES = 5000
 
 
 def resolve_kernel(kernel: str, n_nodes: int) -> str:

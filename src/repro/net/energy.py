@@ -133,6 +133,8 @@ class EnergyMeter:
         last = self._rx_last
         if start >= last:
             # Fast path: at or past the rightmost charged edge.
+            # ``Channel._fanout_start`` (net/radio.py) inlines this branch
+            # for every in-order reception; keep the two in step.
             if end <= start:
                 return
             edges = self._rx_intervals

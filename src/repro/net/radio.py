@@ -31,17 +31,30 @@ layer above.
 
 Two kernels share these semantics (``Channel(kernel=...)``):
 
-* ``"scalar"`` (default for bare construction) — per-receiver
-  :class:`_Arrival` objects walked in Python, the reference
-  implementation.
-* ``"vector"`` (what :func:`~repro.experiments.runner.build_world`
-  uses) — per-node state lives in numpy columns
+* ``"scalar"`` (default for bare construction) — the reference
+  implementation, walked in Python.  Each broadcast is serviced by two
+  scheduled fan-out loops over its receivers, one at arrival start and
+  one at arrival end.  Under a non-capture model (the disc, or pathloss
+  with capture off) the loops keep collision state in per-radio integer
+  counters, with no per-receiver object or method call; capture models
+  walk per-receiver :class:`_Arrival` objects through
+  :meth:`Radio.arrival_start` / :meth:`Radio.arrival_end`.
+* ``"vector"`` — per-node state lives in numpy columns
   (:class:`~repro.net.state.NodeState`) and each broadcast services its
   whole neighborhood with two *cohort* events whose bookkeeping (energy,
-  carrier sense, collisions) is fancy-indexed array math.  RunMetrics
-  and timelines are bit-identical between the kernels; the equivalence
-  property test (``tests/property/test_kernel_equivalence.py``) enforces
-  it.
+  carrier sense, collisions) is fancy-indexed array math.
+
+:func:`~repro.experiments.runner.build_world` defaults to
+``kernel="auto"``, which picks by network size
+(:data:`~repro.experiments.runner.VECTOR_KERNEL_MIN_NODES`).  RunMetrics
+and timelines are bit-identical between the kernels; the equivalence
+property test (``tests/property/test_kernel_equivalence.py``) enforces
+it.
+
+A clean frame is handed to :attr:`Radio.deliver` only at its addressed
+receiver (every receiver for a broadcast).  Overhearers still pay
+receive energy and still count in ``radio.rx``, ``radio.rx_class`` and
+``phy.rx`` records.
 """
 
 from __future__ import annotations
@@ -55,7 +68,7 @@ import numpy as np
 from ..sim import Simulator, Tracer
 from .channel import ChannelModel, DiscModel
 from .energy import EnergyMeter
-from .packet import Frame
+from .packet import BROADCAST, Frame
 from .state import (
     C_ACTIVE,
     C_BUSY_UNTIL,
@@ -93,11 +106,9 @@ class RadioParams:
 
 
 class _Arrival:
-    """One in-flight frame at one receiver.
+    """One in-flight frame at one receiver (scalar kernel, capture models).
 
-    ``rx_mw``/``band``/``smax`` only carry state under a capture-mode
-    channel model (SINR bookkeeping); the disc path leaves them at their
-    defaults.
+    ``rx_mw``/``band``/``smax`` carry the receiver's SINR bookkeeping.
     """
 
     __slots__ = ("frame", "cls", "start", "end", "corrupted", "rx_mw", "band", "smax")
@@ -117,7 +128,7 @@ class _Arrival:
         self.start = start
         self.end = end
         self.corrupted = False
-        #: linear received power at this receiver (capture models)
+        #: linear received power at this receiver
         self.rx_mw = rx_mw
         #: frequency band of the frame (``src % n_bands``)
         self.band = band
@@ -125,16 +136,38 @@ class _Arrival:
         self.smax = 0.0
 
 
-def _fanout_start(arrivals: list) -> None:
-    """Begin reception of one frame at every in-range receiver."""
+def _fanout_start_capture(arrivals: list) -> None:
+    """Begin reception of one frame at every in-range receiver (capture)."""
     for receiver, arrival in arrivals:
         receiver.arrival_start(arrival)
 
 
-def _fanout_end(arrivals: list) -> None:
-    """Finish reception of one frame at every in-range receiver."""
+def _fanout_end_capture(arrivals: list) -> None:
+    """Finish reception of one frame at every in-range receiver (capture)."""
     for receiver, arrival in arrivals:
         receiver.arrival_end(arrival)
+
+
+class _Fanout:
+    """One in-flight frame at a whole neighborhood (scalar, non-capture).
+
+    ``recv`` are the radios up at transmit time, in ascending node id.
+    ``Channel._fanout_start`` fills ``marks``, aligned with ``recv``:
+    ``None`` for a receiver that was down at arrival start, ``-1`` for
+    an arrival corrupted at start, and otherwise the receiver's overlap
+    count at start — the arrival is still clean at its end iff that
+    count has not moved.
+    """
+
+    __slots__ = ("frame", "cls", "start", "end", "recv", "marks")
+
+    def __init__(self, frame: Frame, cls: str, start: float, end: float, recv: list) -> None:
+        self.frame = frame
+        self.cls = cls
+        self.start = start
+        self.end = end
+        self.recv = recv
+        self.marks: list = []
 
 
 class _Cohort:
@@ -388,14 +421,15 @@ class Channel:
 
         All receivers hear the frame at the same two instants (start and
         end of reception), so the whole neighborhood is serviced by *two*
-        scheduled cohort events — carrying one preallocated
-        ``(receiver, arrival)`` list in the scalar kernel, or a
-        :class:`_Cohort` over SoA rows in the vector kernel — not two
-        events per receiver.  Receivers are visited in ascending node-id
-        order inside each fan-out in both kernels (same timestamps, same
-        tie-order), so runs stay bit-identical across kernels.  Each
-        cohort entry counts one logical event per receiver toward
-        ``Simulator.events_processed``.
+        scheduled cohort events, not two events per receiver.  The scalar
+        kernel schedules its fan-out loops over the list of receivers up
+        at transmit time (a :class:`_Fanout`, or ``(receiver, arrival)``
+        pairs under a capture model); the vector kernel schedules a
+        :class:`_Cohort` over SoA rows.  Receivers are visited in
+        ascending node-id order inside each fan-out in both kernels (same
+        timestamps, same tie-order), so runs stay bit-identical across
+        kernels.  Each cohort entry counts one logical event per receiver
+        toward ``Simulator.events_processed``.
         """
         params = self.params
         duration = params.air_time(frame.size)
@@ -473,18 +507,164 @@ class Channel:
                 )
                 if receiver.up
             ]
-        else:
-            arrivals = [
-                (receiver, _Arrival(frame, cls, start, end))
-                for receiver in self.neighbors(sender.node_id)
-                if receiver.up
-            ]
-        if arrivals:
-            n = len(arrivals)
-            sim.schedule_cohort_at(start, n, _fanout_start, arrivals)
+            if arrivals:
+                n = len(arrivals)
+                sim.schedule_cohort_at(start, n, _fanout_start_capture, arrivals)
+                # NB: see the vector branch — same ULP caveat.
+                sim.schedule_cohort_at(
+                    now + (prop + duration), n, _fanout_end_capture, arrivals
+                )
+            return duration
+        recv = [receiver for receiver in self.neighbors(sender.node_id) if receiver.up]
+        if recv:
+            n = len(recv)
+            fanout = _Fanout(frame, cls, start, end, recv)
+            sim.schedule_cohort_at(start, n, self._fanout_start, fanout)
             # NB: see the vector branch — same ULP caveat.
-            sim.schedule_cohort_at(now + (prop + duration), n, _fanout_end, arrivals)
+            sim.schedule_cohort_at(now + (prop + duration), n, self._fanout_end, fanout)
         return duration
+
+    # ------------------------------------------------------------------
+    # scalar fan-out (kernel="scalar", non-capture models)
+    # ------------------------------------------------------------------
+    def _fanout_start(self, f: _Fanout) -> None:
+        """Begin reception of one frame at every receiver, in one loop.
+
+        Per receiver that is up: extend its carrier-sense horizon, charge
+        promiscuous receive energy, and settle corruption at start.  A
+        receiver that is transmitting loses the frame to half duplex.  A
+        receiver with other arrivals in flight corrupts every still-clean
+        one of them (one collision each) and, unless already lost to half
+        duplex, this one (one more).  Collision state lives in three
+        per-radio integers — arrivals in flight, clean arrivals in
+        flight, overlaps so far — the scalar twin of the vector kernel's
+        ``C_ACTIVE``/``C_CLEAN`` columns.  Counters are added once per
+        fan-out.
+
+        The energy charge inlines :meth:`EnergyMeter.note_rx`'s in-order
+        fast path with its exact arithmetic (``start + duration`` is the
+        charged edge, not ``end``); any other case calls ``note_rx``.
+        """
+        start = f.start
+        end = f.end
+        cls = f.cls
+        duration = end - start
+        edge = start + duration  # note_rx's end of the charged interval
+        charged = edge - start
+        inline = edge > start
+        pair = (start, edge)
+        now = self.sim.now  # == start
+        add_mark = f.marks.append
+        n_half = n_coll = 0
+        for r in f.recv:
+            if not r.up:
+                add_mark(None)  # radio off: nothing heard, nothing spent
+                continue
+            if end > r.busy_until:
+                r.busy_until = end
+            m = r.energy
+            if inline and start >= m._rx_last:
+                m._rx_intervals.extend(pair)
+                m._rx_last = edge
+                m.rx_time += charged
+                m.rx_count += 1
+                by_class = m.rx_time_by_class
+                try:
+                    by_class[cls] += charged
+                except KeyError:
+                    by_class[cls] = charged
+            else:
+                m.note_rx(start, duration, cls)
+            half = now < r.tx_until
+            if half:
+                n_half += 1  # half duplex: lost while we transmit
+            if r._n_active:
+                n_coll += r._n_clean if half else r._n_clean + 1
+                r._n_clean = 0
+                r._n_overlaps += 1
+                r._n_active += 1
+                add_mark(-1)
+            elif half:
+                r._n_active = 1
+                add_mark(-1)
+            else:
+                r._n_active = r._n_clean = 1
+                add_mark(r._n_overlaps)
+        if n_half:
+            self.tracer.count("radio.halfduplex_loss", n_half)
+        if n_coll:
+            self.tracer.count("radio.collision", n_coll)
+
+    def _fanout_end(self, f: _Fanout) -> None:
+        """Finish reception: settle corruption, count, deliver clean frames.
+
+        An arrival clean at start stays clean iff no overlap happened at
+        its receiver since (the receiver's overlap count equals the
+        mark).  A clean arrival at a receiver that is down gets nothing;
+        at one that started transmitting mid-reception it is a half-duplex
+        loss.  The transmitting check uses the event clock (``sim.now``),
+        like the vector kernel.
+        """
+        now = self.sim.now
+        ok = []
+        keep = ok.append
+        n_half = 0
+        for r, mark in zip(f.recv, f.marks):
+            if mark is None:
+                continue
+            r._n_active -= 1
+            if mark != r._n_overlaps:
+                continue  # corrupted at start, or overlapped since
+            r._n_clean -= 1
+            if not r.up:
+                continue
+            if now < r.tx_until:
+                # Started transmitting mid-reception (zero-backoff ACKs).
+                n_half += 1
+                continue
+            keep(r)
+        if n_half:
+            self.tracer.count("radio.halfduplex_loss", n_half)
+        if ok:
+            self._deliver_clean(f.frame, f.cls, ok)
+
+    def _deliver_clean(self, frame: Frame, cls: str, ok: list) -> None:
+        """Count clean receptions at ``ok`` and deliver to the addressee.
+
+        ``ok`` are the receiving radios in ascending node id.  Every one
+        counts in ``radio.rx``, the per-class rx counts and a ``phy.rx``
+        record; only the addressed receiver (all of them for a broadcast)
+        is handed the frame.
+        """
+        tracer = self.tracer
+        n_ok = len(ok)
+        tracer.count("radio.rx", n_ok)
+        counts = self._rx_class_counts
+        try:
+            counts[cls] += n_ok
+        except KeyError:
+            counts[cls] = n_ok
+        dst = frame.dst
+        if tracer.wants("phy.rx"):
+            fid, src = frame.frame_id, frame.src
+            for radio in ok:
+                tracer.record("phy.rx", frame=fid, node=radio.node_id, src=src)
+                if dst == BROADCAST or radio.node_id == dst:
+                    deliver = radio.deliver
+                    if deliver is not None:
+                        deliver(frame)
+        elif dst == BROADCAST:
+            for radio in ok:
+                deliver = radio.deliver
+                if deliver is not None:
+                    deliver(frame)
+        else:
+            for radio in ok:
+                if radio.node_id == dst:
+                    deliver = radio.deliver
+                    if deliver is not None:
+                        deliver(frame)
+                    break
 
     # ------------------------------------------------------------------
     # vectorized fan-out (kernel="vector")
@@ -690,28 +870,8 @@ class Channel:
             if not ok.any():
                 return
             ok_rows = started[ok]
-        n_ok = int(ok_rows.size)
-        tracer.count("radio.rx", n_ok)
-        counts = self._rx_class_counts
-        cls = c.cls
-        try:
-            counts[cls] += n_ok
-        except KeyError:
-            counts[cls] = n_ok
-        frame = c.frame
         radios = self._row_radio
-        if tracer.wants("phy.rx"):
-            fid, src = frame.frame_id, frame.src
-            for r in ok_rows.tolist():
-                radio = radios[r]
-                tracer.record("phy.rx", frame=fid, node=radio.node_id, src=src)
-                if radio.deliver is not None:
-                    radio.deliver(frame)
-        else:
-            for r in ok_rows.tolist():
-                deliver = radios[r].deliver
-                if deliver is not None:
-                    deliver(frame)
+        self._deliver_clean(c.frame, c.cls, [radios[r] for r in ok_rows.tolist()])
 
     # ------------------------------------------------------------------
     # vectorized fan-out, SINR capture mode (pathloss channel)
@@ -834,32 +994,19 @@ class Channel:
             if not good.any():
                 return
             ok_rows = cand_rows[good]
-        n_ok = int(ok_rows.size)
-        tracer.count("radio.rx", n_ok)
-        counts = self._rx_class_counts
-        cls = c.cls
-        try:
-            counts[cls] += n_ok
-        except KeyError:
-            counts[cls] = n_ok
-        frame = c.frame
         radios = self._row_radio
-        if tracer.wants("phy.rx"):
-            fid, src = frame.frame_id, frame.src
-            for r in ok_rows.tolist():
-                radio = radios[r]
-                tracer.record("phy.rx", frame=fid, node=radio.node_id, src=src)
-                if radio.deliver is not None:
-                    radio.deliver(frame)
-        else:
-            for r in ok_rows.tolist():
-                deliver = radios[r].deliver
-                if deliver is not None:
-                    deliver(frame)
+        self._deliver_clean(c.frame, c.cls, [radios[r] for r in ok_rows.tolist()])
 
 
 class Radio:
-    """One node's radio: reception state, carrier sense, energy."""
+    """One node's radio: reception state, carrier sense, energy.
+
+    Reception is driven by the channel's fan-out loops, which read and
+    write this radio's slots directly (see :meth:`Channel._fanout_start`);
+    under a non-capture model the receive energy of an in-order arrival
+    is charged inline with :class:`~repro.net.energy.EnergyMeter`'s own
+    arithmetic, so ``energy`` must be an ``EnergyMeter``.
+    """
 
     __slots__ = (
         "node_id",
@@ -872,10 +1019,12 @@ class Radio:
         "tx_until",
         "busy_until",
         "_active",
+        "_n_active",
+        "_n_clean",
+        "_n_overlaps",
         "deliver",
         "up",
         "_rx_class_counts",
-        "_capture",
         "_interf",
     )
 
@@ -898,19 +1047,27 @@ class Radio:
         self.tx_until = 0.0
         #: carrier-sense horizon: medium considered busy until this time
         self.busy_until = 0.0
+        #: in-flight arrivals (capture models)
         self._active: list[_Arrival] = []
-        #: callback(frame) installed by the MAC for clean receptions
+        #: collision state under non-capture models: arrivals in flight,
+        #: how many of them are still clean, and overlaps seen so far
+        self._n_active = 0
+        self._n_clean = 0
+        self._n_overlaps = 0
+        #: callback(frame) installed by the MAC; called for each clean
+        #: reception addressed to this node (or broadcast).  A clean
+        #: unicast or ACK overheard by a non-addressee is charged and
+        #: counted but never delivered.
         self.deliver: Optional[Callable[[Frame], None]] = None
         #: liveness flag, pushed by the owning node on fail/recover.
         #: A plain attribute on purpose: it is read per receiver per
-        #: frame (the transmit fan-out and both arrival events), where a
+        #: frame (the transmit fan-out and both arrival loops), where a
         #: property + callback indirection is measurable.
         self.up = True
         #: the channel's shared per-class rx count dict (hot-path alias)
         self._rx_class_counts = channel._rx_class_counts
-        #: SINR-capture mode flag and per-band running interference sums
-        #: (scalar kernel; the vector kernel keeps these in NodeState)
-        self._capture = channel._capture
+        #: per-band running interference sums (scalar kernel, capture
+        #: models; the vector kernel keeps these in NodeState)
         self._interf = [0.0] * channel._n_bands if channel._capture else None
         channel.register(self)
 
@@ -930,9 +1087,10 @@ class Radio:
         return self.channel.transmit(self, frame)
 
     # ------------------------------------------------------------------
-    # reception path (driven by Channel-scheduled events)
+    # reception path under a capture model (driven by Channel events)
     # ------------------------------------------------------------------
     def arrival_start(self, arrival: _Arrival) -> None:
+        """Begin one arrival: energy, half duplex, SINR bookkeeping."""
         if not self.up:
             arrival.corrupted = True  # radio off: nothing heard, nothing spent
             return
@@ -944,41 +1102,27 @@ class Radio:
             # Half duplex: we miss frames that arrive while we transmit.
             arrival.corrupted = True
             self.tracer.count("radio.halfduplex_loss")
-        if self._capture:
-            # SINR capture: no pairwise corruption — advance this band's
-            # running power sum and raise the watermark of every same-band
-            # arrival in flight (sums only grow at starts, so tracking the
-            # max here is exact).  A half-duplex-lost frame still radiates.
-            band = arrival.band
-            interf = self._interf
-            s = interf[band] + arrival.rx_mw
-            interf[band] = s
-            for other in self._active:
-                if other.band == band and s > other.smax:
-                    other.smax = s
-            arrival.smax = s
-            self._active.append(arrival)
-            return
-        active = self._active
-        if active:
-            # Overlap with another in-flight frame: everyone is corrupted.
-            tracer = self.tracer
-            for other in active:
-                if not other.corrupted:
-                    other.corrupted = True
-                    tracer.count("radio.collision")
-            if not arrival.corrupted:
-                arrival.corrupted = True
-                tracer.count("radio.collision")
-        active.append(arrival)
+        # SINR capture: no pairwise corruption — advance this band's
+        # running power sum and raise the watermark of every same-band
+        # arrival in flight (sums only grow at starts, so tracking the
+        # max here is exact).  A half-duplex-lost frame still radiates.
+        band = arrival.band
+        interf = self._interf
+        s = interf[band] + arrival.rx_mw
+        interf[band] = s
+        for other in self._active:
+            if other.band == band and s > other.smax:
+                other.smax = s
+        arrival.smax = s
+        self._active.append(arrival)
 
     def arrival_end(self, arrival: _Arrival) -> None:
+        """Finish one arrival: retire its power, SINR-test, deliver."""
         try:
             self._active.remove(arrival)
         except ValueError:
             return  # arrival was never started (node was down)
-        if self._capture:
-            self._interf[arrival.band] -= arrival.rx_mw
+        self._interf[arrival.band] -= arrival.rx_mw
         if arrival.corrupted or not self.up:
             return
         if self.transmitting:
@@ -986,28 +1130,11 @@ class Radio:
             # carrier sense, but possible with zero-backoff ACKs).
             self.tracer.count("radio.halfduplex_loss")
             return
-        if self._capture:
-            ch = self.channel
-            if arrival.rx_mw < ch._thr * (ch._noise_mw + (arrival.smax - arrival.rx_mw)):
-                self.tracer.count("radio.sinr_loss")
-                return
-        tracer = self.tracer
-        tracer.count("radio.rx")
-        counts = self._rx_class_counts
-        cls = arrival.cls
-        try:
-            counts[cls] += 1
-        except KeyError:
-            counts[cls] = 1
-        if tracer.wants("phy.rx"):
-            tracer.record(
-                "phy.rx",
-                frame=arrival.frame.frame_id,
-                node=self.node_id,
-                src=arrival.frame.src,
-            )
-        if self.deliver is not None:
-            self.deliver(arrival.frame)
+        ch = self.channel
+        if arrival.rx_mw < ch._thr * (ch._noise_mw + (arrival.smax - arrival.rx_mw)):
+            self.tracer.count("radio.sinr_loss")
+            return
+        ch._deliver_clean(arrival.frame, arrival.cls, [self])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Radio {self.node_id} at ({self.x:.1f},{self.y:.1f})>"

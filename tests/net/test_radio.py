@@ -220,3 +220,91 @@ class TestLivenessAndEnergy:
         sim.run()
         assert busy_seen == [True]
         assert not b.medium_busy()  # after the frame ends
+
+
+class TestCorruptionCounting:
+    """Collision and half-duplex counts follow the per-receiver rules.
+
+    Senders sit on a 35 m circle around receiver ``c`` (node 0) and are
+    more than 40 m apart, so only ``c`` hears more than one of them and
+    every count below is ``c``'s.
+    """
+
+    def _hidden_senders(self, ch, k):
+        spots = ((35.0, 0.0), (-35.0, 0.0), (0.0, 35.0))
+        return [make_radio(ch, i + 1, x, y)[0] for i, (x, y) in enumerate(spots[:k])]
+
+    def test_three_overlapping_frames_count_three_collisions(self):
+        sim, tracer, ch = make_channel()
+        c, _, _ = make_radio(ch, 0, 0, 0)
+        got = []
+        c.deliver = got.append
+        for i, s in enumerate(self._hidden_senders(ch, 3)):
+            sim.schedule(i * 1e-4, s.start_tx, Frame(src=s.node_id, dst=BROADCAST, size=64))
+        sim.run()
+        assert got == []
+        assert tracer.value("radio.collision") == 3
+        assert tracer.value("radio.rx") == 0
+
+    def test_half_duplex_loss_then_overlap_counts_each_frame_once(self):
+        sim, tracer, ch = make_channel()
+        c, _, _ = make_radio(ch, 0, 0, 0)
+        a, b = self._hidden_senders(ch, 2)
+        got = []
+        c.deliver = got.append
+        # c transmits until a's frame is mid-air; b's frame arrives after
+        c.tx_until = 1e-4
+        sim.schedule(0.0, a.start_tx, Frame(src=1, dst=BROADCAST, size=64))
+        sim.schedule(1.5e-4, b.start_tx, Frame(src=2, dst=BROADCAST, size=64))
+        sim.run()
+        assert got == []
+        assert tracer.value("radio.halfduplex_loss") == 1
+        assert tracer.value("radio.collision") == 1
+
+    def test_receiver_failing_mid_reception_pays_but_gets_nothing(self):
+        sim, tracer, ch = make_channel()
+        a, _, _ = make_radio(ch, 0, 0, 0)
+        b, meter, _ = make_radio(ch, 1, 30, 0)
+        got = []
+        b.deliver = got.append
+        a.start_tx(Frame(src=0, dst=BROADCAST, size=64))
+        sim.schedule(1e-4, setattr, b, "up", False)
+        sim.run()
+        assert got == []
+        assert tracer.value("radio.rx") == 0
+        assert meter.rx_time == pytest.approx(ch.params.air_time(64))
+
+
+class TestAddressedDelivery:
+    def test_overheard_unicast_is_paid_and_counted_but_not_delivered(self):
+        sim, tracer, ch = make_channel()
+        a, _, _ = make_radio(ch, 0, 0, 0)
+        b, bm, _ = make_radio(ch, 1, 20, 0)
+        c, cm, _ = make_radio(ch, 2, 35, 0)
+        got_b, got_c = [], []
+        b.deliver = got_b.append
+        c.deliver = got_c.append
+        frame = Frame(src=0, dst=1, size=64, msg_class="data")
+        a.start_tx(frame)
+        sim.run()
+        ch.flush_class_counters()
+        assert got_b == [frame]
+        assert got_c == []
+        assert tracer.value("radio.rx") == 2
+        assert tracer.registry.value("radio.rx_class", cls="data") == 2
+        air = ch.params.air_time(64)
+        assert bm.rx_time == pytest.approx(air)
+        assert cm.rx_time == pytest.approx(air)
+
+    def test_ack_reaches_only_its_addressee(self):
+        sim, _tr, ch = make_channel()
+        a, _, _ = make_radio(ch, 0, 0, 0)
+        b, _, _ = make_radio(ch, 1, 20, 0)
+        c, _, _ = make_radio(ch, 2, 35, 0)
+        got = {0: [], 2: []}
+        a.deliver = got[0].append
+        c.deliver = got[2].append
+        ack = Frame(src=0, dst=1, size=64).ack_frame(10)  # from 1 back to 0
+        b.start_tx(ack)
+        sim.run()
+        assert got == {0: [ack], 2: []}
