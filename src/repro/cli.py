@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one experiment and print its metrics")
     sim_g = run_p.add_argument_group(
-        "simulation", "what to run: scheme, workload, geometry, kernel"
+        "simulation", "what to run: scheme, workload, geometry"
     )
     sim_g.add_argument("--scheme", choices=("greedy", "opportunistic"), default="greedy")
     sim_g.add_argument("-n", "--nodes", type=int, default=150)
@@ -170,13 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=200.0,
         metavar="M",
         help="side of the square deployment field in meters",
-    )
-    sim_g.add_argument(
-        "--kernel",
-        choices=("auto", "vector", "scalar"),
-        default="auto",
-        help="PHY kernel: auto (default; vectorized cohorts at >=5000 "
-        "nodes, scalar reference below), or force one",
     )
     sim_g.add_argument(
         "--placement", choices=("corner", "random", "event-radius"), default="corner"
@@ -629,12 +622,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from .experiments.store import RunStore
 
         store = RunStore(args.store)
-        result = run_experiment(cfg, store=store, kernel=args.kernel)
+        result = run_experiment(cfg, store=store)
         observed = None
         if store.stats.hits:
             print(f"run store: hit ({args.store})")
     else:
-        observed = run_observed(cfg, obs, kernel=args.kernel)
+        observed = run_observed(cfg, obs)
         result = observed.metrics
         if args.store:
             # An observed run is always executed fresh (the caller asked

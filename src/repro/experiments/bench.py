@@ -13,9 +13,7 @@ world building (with the field cache), the event kernel, the PHY
 fan-out, the MAC, the diffusion schemes — while staying bounded:
 ``canonical`` (the headline) and its CI-smoke variant ``quick`` cover
 the paper's density band; ``large`` and ``large-quick`` run thousands of
-nodes on an 800 m field.  ``kernel="auto"`` runs them on the scalar PHY
-kernel except the 5 000-node run of ``large``, where the two kernels
-measured a tie (``VECTOR_KERNEL_MIN_NODES``).
+nodes on an 800 m field.
 
 When ``workers`` is given, the same configs also run through the
 hardened parallel executor and the results are checked for exact
@@ -58,9 +56,8 @@ BENCH_VERSION = 1
 #:   schemes, paired trials.
 #: * ``quick`` — CI-smoke variant of canonical (~10x cheaper).
 #: * ``large`` — the scale profile: 2 000–5 000 nodes on an 800 m field
-#:   (mean radio degree ~16..39), single scheme/trial, short runs.  The
-#:   ``auto`` kernel rule switches to the vectorized PHY inside it (at
-#:   5 000 nodes); it also feeds the large-field density figure.
+#:   (mean radio degree ~16..39), single scheme/trial, short runs.  It
+#:   also feeds the large-field density figure.
 #: * ``large-quick`` — CI-smoke variant of large (one 2 000-node run).
 #: * ``pathloss`` — canonical geometry under the pathloss/SINR channel
 #:   (default :class:`~repro.net.channel.ChannelSpec` pathloss block):

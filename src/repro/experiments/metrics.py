@@ -25,6 +25,19 @@ from ..diffusion.messages import DataItem
 __all__ = ["MetricsCollector", "RunMetrics"]
 
 
+def _mean(values: list[float]) -> float:
+    """Mean with a plain left-to-right float sum.
+
+    Built-in ``sum()`` compensates float rounding since CPython 3.12, so
+    its bits depend on the interpreter; this loop gives the pre-3.12
+    bits on every version, which keeps RunMetrics reproducible.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
 class MetricsCollector:
     """Accumulates per-run deliveries and delays."""
 
@@ -77,12 +90,12 @@ class MetricsCollector:
             ratios.append(got / sent)
         if not ratios:
             return 0.0
-        return sum(ratios) / len(ratios)
+        return _mean(ratios)
 
     def average_delay(self) -> Optional[float]:
         if not self.delays:
             return None
-        return sum(self.delays) / len(self.delays)
+        return _mean(self.delays)
 
     def time_to_half_delivery(self) -> Optional[float]:
         """Sim time by which half of all counted deliveries had arrived.

@@ -62,8 +62,6 @@ __all__ = [
     "run_observed",
     "ObservedRun",
     "build_world",
-    "resolve_kernel",
-    "VECTOR_KERNEL_MIN_NODES",
     "World",
     "FailureDriver",
     "TRACKING_SPEC",
@@ -162,26 +160,10 @@ def _place_sources(
     return event_radius_sources(field, cfg.n_sources, radius=cfg.range_m, rng=rng, exclude=sinks)
 
 
-#: ``kernel="auto"`` switches to the vectorized PHY at this node count.
-#: No measured size favours the vector kernel: on the large-field
-#: geometry the scalar path is 1.4-1.7x faster at 1 000-3 500 nodes and
-#: the two tie at 5 000 (see DESIGN.md §13), so the switch sits at the
-#: tie and ``auto`` runs scalar wherever scalar was measured faster.
-VECTOR_KERNEL_MIN_NODES = 5000
-
-
-def resolve_kernel(kernel: str, n_nodes: int) -> str:
-    """Resolve ``"auto"`` to a concrete PHY kernel for a network size."""
-    if kernel == "auto":
-        return "vector" if n_nodes >= VECTOR_KERNEL_MIN_NODES else "scalar"
-    return kernel
-
-
 def build_world(
     cfg: ExperimentConfig,
     obs: Optional[ObsOptions] = None,
     field_cache: Optional[FieldCache] = None,
-    kernel: str = "auto",
 ) -> World:
     """Construct the full simulation for one config (without running it).
 
@@ -190,13 +172,6 @@ def build_world(
     ``(seed, n, field_size, range_m)`` geometry once per scheme, and the
     cache removes that duplicate work without touching any RNG stream.
     Pass ``field_cache=FieldCache(maxsize=0)`` to force a fresh build.
-
-    ``kernel`` selects the PHY fan-out implementation: ``"vector"``
-    batches each broadcast over numpy SoA state; ``"scalar"`` is the
-    per-object reference path; ``"auto"`` (the default everywhere)
-    picks vector at ``>= VECTOR_KERNEL_MIN_NODES`` nodes and scalar
-    below, where small fan-outs make per-call numpy overhead a net
-    loss.  RunMetrics and timelines are bit-identical between the two.
     """
     sim = Simulator()
     if obs is not None:
@@ -222,7 +197,6 @@ def build_world(
         sim,
         tracer,
         RadioParams(range_m=cfg.range_m),
-        kernel=resolve_kernel(kernel, cfg.n_nodes),
         model=model_from_spec(cfg.channel, cfg.range_m),
     )
     nodes = [
@@ -295,7 +269,6 @@ def run_experiment(
     obs: Optional[ObsOptions] = None,
     field_cache: Optional[FieldCache] = None,
     store=None,
-    kernel: str = "auto",
 ) -> RunMetrics:
     """Run one experiment end to end and reduce it to metrics.
 
@@ -314,7 +287,7 @@ def run_experiment(
         cached = store.get(cfg)
         if cached is not None:
             return cached
-    observed = run_observed(cfg, obs, field_cache=field_cache, kernel=kernel)
+    observed = run_observed(cfg, obs, field_cache=field_cache)
     if store is not None:
         store.put(cfg, observed.metrics)
         if observed.timeline is not None:
@@ -326,7 +299,6 @@ def run_observed(
     cfg: ExperimentConfig,
     obs: Optional[ObsOptions] = None,
     field_cache: Optional[FieldCache] = None,
-    kernel: str = "auto",
 ) -> ObservedRun:
     """Run one experiment with optional profiling/tracing/provenance.
 
@@ -335,7 +307,7 @@ def run_observed(
     artifacts (profile report, JSONL trace, ``manifest.json``) are
     collected afterwards.
     """
-    world = build_world(cfg, obs, field_cache=field_cache, kernel=kernel)
+    world = build_world(cfg, obs, field_cache=field_cache)
     sim, tracer = world.sim, world.tracer
 
     profiler: Optional[Profiler] = None

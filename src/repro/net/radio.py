@@ -29,27 +29,14 @@ arrays — and, for capture models, per-pair receive powers — via a uniform
 grid) and the :class:`Radio` instances; radios are driven by the MAC
 layer above.
 
-Two kernels share these semantics (``Channel(kernel=...)``):
-
-* ``"scalar"`` (default for bare construction) — the reference
-  implementation, walked in Python.  Each broadcast is serviced by two
-  scheduled fan-out loops over its receivers, one at arrival start and
-  one at arrival end.  Under a non-capture model (the disc, or pathloss
-  with capture off) the loops keep collision state in per-radio integer
-  counters, with no per-receiver object or method call; capture models
-  walk per-receiver :class:`_Arrival` objects through
-  :meth:`Radio.arrival_start` / :meth:`Radio.arrival_end`.
-* ``"vector"`` — per-node state lives in numpy columns
-  (:class:`~repro.net.state.NodeState`) and each broadcast services its
-  whole neighborhood with two *cohort* events whose bookkeeping (energy,
-  carrier sense, collisions) is fancy-indexed array math.
-
-:func:`~repro.experiments.runner.build_world` defaults to
-``kernel="auto"``, which picks by network size
-(:data:`~repro.experiments.runner.VECTOR_KERNEL_MIN_NODES`).  RunMetrics
-and timelines are bit-identical between the kernels; the equivalence
-property test (``tests/property/test_kernel_equivalence.py``) enforces
-it.
+Each broadcast is serviced by two scheduled fan-out loops over its
+receivers (one :meth:`~repro.sim.Simulator.schedule_cohort_at` event
+at arrival start, one at arrival end).  Under a non-capture model (the
+disc, or pathloss with capture off) the loops keep collision state in
+per-radio integer counters, with no per-receiver object or method call
+(:meth:`Channel._fanout_start` / :meth:`Channel._fanout_end`); capture
+models walk per-receiver :class:`_Arrival` objects through
+:meth:`Radio.arrival_start` / :meth:`Radio.arrival_end`.
 
 A clean frame is handed to :attr:`Radio.deliver` only at its addressed
 receiver (every receiver for a broadcast).  Overhearers still pay
@@ -69,23 +56,11 @@ from ..sim import Simulator, Tracer
 from .channel import ChannelModel, DiscModel
 from .energy import EnergyMeter
 from .packet import BROADCAST, Frame
-from .state import (
-    C_ACTIVE,
-    C_BUSY_UNTIL,
-    C_CLEAN,
-    C_OVERLAP,
-    C_RX_COUNT,
-    C_RX_LAST,
-    C_RX_PREV,
-    C_RX_TIME,
-    C_TX_UNTIL,
-    NodeState,
-)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .node import Node
 
-__all__ = ["RadioParams", "Channel", "Radio", "VectorRadio"]
+__all__ = ["RadioParams", "Channel", "Radio"]
 
 
 @dataclass(frozen=True)
@@ -106,7 +81,7 @@ class RadioParams:
 
 
 class _Arrival:
-    """One in-flight frame at one receiver (scalar kernel, capture models).
+    """One in-flight frame at one receiver (capture models).
 
     ``rx_mw``/``band``/``smax`` carry the receiver's SINR bookkeeping.
     """
@@ -149,7 +124,7 @@ def _fanout_end_capture(arrivals: list) -> None:
 
 
 class _Fanout:
-    """One in-flight frame at a whole neighborhood (scalar, non-capture).
+    """One in-flight frame at a whole neighborhood (non-capture models).
 
     ``recv`` are the radios up at transmit time, in ascending node id.
     ``Channel._fanout_start`` fills ``marks``, aligned with ``recv``:
@@ -170,56 +145,6 @@ class _Fanout:
         self.marks: list = []
 
 
-class _Cohort:
-    """One in-flight frame at a whole neighborhood (vector kernel).
-
-    ``rows`` are the receivers alive at transmit time; ``started`` and
-    ``corrupted_at_start`` are filled in by ``Channel._cohort_start``
-    (receivers still alive at arrival, and their halfduplex/overlap
-    corruption state) for ``_cohort_end`` to finish against.
-
-    ``rx_mw``/``band``/``smax`` only carry state under a capture-mode
-    channel model (the per-receiver SINR bookkeeping arrays mirroring
-    ``_Arrival``'s scalars).
-    """
-
-    __slots__ = (
-        "frame",
-        "cls",
-        "start",
-        "end",
-        "rows",
-        "started",
-        "corrupted_at_start",
-        "rx_mw",
-        "band",
-        "smax",
-    )
-
-    def __init__(
-        self,
-        frame: Frame,
-        cls: str,
-        start: float,
-        end: float,
-        rows: np.ndarray,
-        rx_mw: Optional[np.ndarray] = None,
-        band: int = 0,
-    ) -> None:
-        self.frame = frame
-        self.cls = cls
-        self.start = start
-        self.end = end
-        self.rows = rows
-        self.started: Optional[np.ndarray] = None
-        self.corrupted_at_start: Optional[np.ndarray] = None
-        #: per-receiver linear rx power, aligned with ``rows``/``started``
-        self.rx_mw = rx_mw
-        self.band = band
-        #: per-receiver max same-band power sum over the airtime
-        self.smax: Optional[np.ndarray] = None
-
-
 class Channel:
     """The shared wireless medium: positions, neighborhoods, delivery."""
 
@@ -228,15 +153,11 @@ class Channel:
         sim: Simulator,
         tracer: Tracer,
         params: RadioParams,
-        kernel: str = "scalar",
         model: Optional[ChannelModel] = None,
     ) -> None:
-        if kernel not in ("scalar", "vector"):
-            raise ValueError(f"unknown channel kernel {kernel!r}")
         self.sim = sim
         self.tracer = tracer
         self.params = params
-        self.kernel = kernel
         #: propagation/corruption strategy (default: the paper's disc)
         self.model: ChannelModel = model if model is not None else DiscModel(params.range_m)
         #: SINR-capture mode (pathloss with capture on); hot-path alias
@@ -244,14 +165,8 @@ class Channel:
         self._n_bands = self.model.n_bands
         self._noise_mw = self.model.noise_mw
         self._thr = self.model.thr
-        #: in-flight capture-mode cohorts (vector kernel SINR bookkeeping)
-        self._active_cohorts: list[_Cohort] = []
-        #: SoA node state (vector kernel only; rows assigned at register)
-        self.state: Optional[NodeState] = NodeState() if kernel == "vector" else None
-        if self.state is not None and self._capture:
-            self.state.ensure_interf(self._n_bands)
         self.radios: dict[int, Radio] = {}
-        #: radios by row (row = registration order == NodeState row)
+        #: radios by row (row = registration order)
         self._row_radio: list["Radio"] = []
         self._row_of: dict[int, int] = {}
         #: per-row neighbor rows, presorted by neighbor node id
@@ -296,12 +211,6 @@ class Channel:
     def register(self, radio: "Radio") -> None:
         if radio.node_id in self.radios:
             raise ValueError(f"duplicate node id {radio.node_id}")
-        row = getattr(radio, "_row", None)
-        if row is not None and row != len(self._row_radio):
-            raise ValueError(
-                f"radio row {row} out of registration order "
-                f"(expected {len(self._row_radio)})"
-            )
         self.radios[radio.node_id] = radio
         self._row_of[radio.node_id] = len(self._row_radio)
         self._row_radio.append(radio)
@@ -317,8 +226,8 @@ class Channel:
         """Radios within range of ``node_id`` (excluding itself).
 
         Materialized lazily from the row-index cache, in ascending
-        neighbor node-id order, and memoized — the scalar transmit path
-        hits this per frame.
+        neighbor node-id order, and memoized — the transmit path hits
+        this per frame.
         """
         cached = self._nbr_radios.get(node_id)
         if cached is None:
@@ -338,8 +247,8 @@ class Channel:
     def _neighbor_rx(self, node_id: int) -> list[float]:
         """Per-neighbor linear rx powers as builtin floats (memoized).
 
-        Aligned with :meth:`neighbors`; scalar-kernel capture fan-outs
-        read these so numpy scalars never enter per-arrival arithmetic.
+        Aligned with :meth:`neighbors`; capture fan-outs read these so
+        numpy scalars never enter per-arrival arithmetic.
         """
         cached = self._nbr_rx_list.get(node_id)
         if cached is None:
@@ -353,22 +262,16 @@ class Channel:
     def _build_neighbor_cache(self) -> None:
         """Grid-bucketed neighbor computation: O(N * degree).
 
-        The cache is a list of presorted ``np.intp`` row arrays (shared
-        with the SoA state in the vector kernel — reachability is then a
-        single fancy-index); distances are float64, bitwise the same
-        tests the per-object implementation applied.  Link eligibility
-        comes from the channel model; capture models additionally yield
-        a per-pair linear rx-power array aligned with each row array, so
-        both kernels read identical link powers (the SINR test is then
-        pure per-receiver arithmetic).
+        The cache is a list of presorted ``np.intp`` row arrays;
+        distances are float64, bitwise the same tests the per-object
+        implementation applied.  Link eligibility comes from the channel
+        model; capture models additionally yield a per-pair linear
+        rx-power array aligned with each row array (the SINR test is
+        then pure per-receiver arithmetic).
         """
         n = len(self._row_radio)
-        st = self.state
-        if st is not None:
-            xs, ys = st.x[:n], st.y[:n]
-        else:
-            xs = np.array([r.x for r in self._row_radio])
-            ys = np.array([r.y for r in self._row_radio])
+        xs = np.array([r.x for r in self._row_radio])
+        ys = np.array([r.y for r in self._row_radio])
         ids = np.array([r.node_id for r in self._row_radio], dtype=np.int64)
         model = self.model
         cell = model.grid_cell_m
@@ -421,15 +324,11 @@ class Channel:
 
         All receivers hear the frame at the same two instants (start and
         end of reception), so the whole neighborhood is serviced by *two*
-        scheduled cohort events, not two events per receiver.  The scalar
-        kernel schedules its fan-out loops over the list of receivers up
-        at transmit time (a :class:`_Fanout`, or ``(receiver, arrival)``
-        pairs under a capture model); the vector kernel schedules a
-        :class:`_Cohort` over SoA rows.  Receivers are visited in
-        ascending node-id order inside each fan-out in both kernels (same
-        timestamps, same tie-order), so runs stay bit-identical across
-        kernels.  Each cohort entry counts one logical event per receiver
-        toward ``Simulator.events_processed``.
+        scheduled cohort events, not two events per receiver: fan-out
+        loops over the receivers up at transmit time (a :class:`_Fanout`,
+        or ``(receiver, arrival)`` pairs under a capture model), visited
+        in ascending node-id order.  Each cohort entry counts one logical
+        event per receiver toward ``Simulator.events_processed``.
         """
         params = self.params
         duration = params.air_time(frame.size)
@@ -460,42 +359,6 @@ class Channel:
         end_of_tx = now + duration
         start = now + prop
         end = start + duration
-        st = self.state
-        if st is not None:
-            row = sender._row  # type: ignore[attr-defined]
-            hot = st.hot
-            if end_of_tx > hot[row, C_TX_UNTIL]:
-                hot[row, C_TX_UNTIL] = end_of_tx
-            if self._nbr_rows is None:
-                self._build_neighbor_cache()
-            nbr = self._nbr_rows[row]  # type: ignore[index]
-            if st.n_down:
-                up = st.up[nbr]
-                recv = nbr if up.all() else nbr[up]
-            else:
-                recv = nbr
-            if recv.size:
-                n = int(recv.size)
-                if self._capture:
-                    rx = self._nbr_rxmw[row]  # type: ignore[index]
-                    if recv.size != nbr.size:
-                        rx = rx[up]
-                    cohort = _Cohort(
-                        frame, cls, start, end, recv,
-                        rx_mw=rx, band=sender.node_id % self._n_bands,
-                    )
-                    start_h, end_h = self._cohort_start_capture, self._cohort_end_capture
-                else:
-                    cohort = _Cohort(frame, cls, start, end, recv)
-                    start_h, end_h = self._cohort_start, self._cohort_end
-                sim.schedule_cohort_at(start, n, start_h, cohort)
-                # NB: now + (prop + duration), not (now + prop) + duration —
-                # the end event's timestamp must match the historical float
-                # exactly (it differs from arrival.end by an ULP on some
-                # inputs, and event timestamps feed tie-breaking and MAC
-                # timing).
-                sim.schedule_cohort_at(now + (prop + duration), n, end_h, cohort)
-            return duration
         if end_of_tx > sender.tx_until:
             sender.tx_until = end_of_tx
         if self._capture:
@@ -510,7 +373,10 @@ class Channel:
             if arrivals:
                 n = len(arrivals)
                 sim.schedule_cohort_at(start, n, _fanout_start_capture, arrivals)
-                # NB: see the vector branch — same ULP caveat.
+                # NB: now + (prop + duration), not (now + prop) + duration —
+                # the end event's timestamp must match the historical float
+                # exactly (it differs from ``end`` by an ULP on some inputs,
+                # and event timestamps feed tie-breaking and MAC timing).
                 sim.schedule_cohort_at(
                     now + (prop + duration), n, _fanout_end_capture, arrivals
                 )
@@ -520,12 +386,12 @@ class Channel:
             n = len(recv)
             fanout = _Fanout(frame, cls, start, end, recv)
             sim.schedule_cohort_at(start, n, self._fanout_start, fanout)
-            # NB: see the vector branch — same ULP caveat.
+            # NB: see the capture branch — same ULP caveat.
             sim.schedule_cohort_at(now + (prop + duration), n, self._fanout_end, fanout)
         return duration
 
     # ------------------------------------------------------------------
-    # scalar fan-out (kernel="scalar", non-capture models)
+    # fan-out under non-capture models
     # ------------------------------------------------------------------
     def _fanout_start(self, f: _Fanout) -> None:
         """Begin reception of one frame at every receiver, in one loop.
@@ -537,9 +403,7 @@ class Channel:
         one of them (one collision each) and, unless already lost to half
         duplex, this one (one more).  Collision state lives in three
         per-radio integers — arrivals in flight, clean arrivals in
-        flight, overlaps so far — the scalar twin of the vector kernel's
-        ``C_ACTIVE``/``C_CLEAN`` columns.  Counters are added once per
-        fan-out.
+        flight, overlaps so far.  Counters are added once per fan-out.
 
         The energy charge inlines :meth:`EnergyMeter.note_rx`'s in-order
         fast path with its exact arithmetic (``start + duration`` is the
@@ -603,7 +467,9 @@ class Channel:
         mark).  A clean arrival at a receiver that is down gets nothing;
         at one that started transmitting mid-reception it is a half-duplex
         loss.  The transmitting check uses the event clock (``sim.now``),
-        like the vector kernel.
+        not ``f.end``: the end event is scheduled at
+        ``tx + (prop + duration)``, which can differ from ``end`` by one
+        ULP.
         """
         now = self.sim.now
         ok = []
@@ -665,337 +531,6 @@ class Channel:
                     if deliver is not None:
                         deliver(frame)
                     break
-
-    # ------------------------------------------------------------------
-    # vectorized fan-out (kernel="vector")
-    # ------------------------------------------------------------------
-    def _cohort_start(self, c: _Cohort) -> None:
-        """Begin reception at every cohort receiver, in one array pass.
-
-        Per-receiver scalar semantics reproduced exactly: busy-until
-        extension, promiscuous energy charge, half-duplex loss while
-        transmitting, and pairwise collision corruption — a receiver with
-        other in-flight arrivals corrupts every still-clean one of them
-        (one collision count each) plus, unless already lost to half
-        duplex, this arrival (one more).  The ``C_CLEAN``/``C_OVERLAP``
-        columns carry exactly enough state to settle corruption at cohort
-        end without per-arrival objects.
-
-        numpy *call count* (not element count) dominates at realistic
-        neighborhood sizes, so the handler works on a single gathered
-        ``(k, 9)`` block and probes the rare conditions (any receiver
-        down / transmitting / mid-arrival / mid-charge) with cheap
-        ``max()`` reductions before building any boolean mask.  The
-        common cohort — everyone up, idle and quiet — costs about a
-        dozen numpy calls regardless of degree.
-        """
-        st = self.state
-        assert st is not None
-        rows = c.rows
-        if st.n_down:
-            alive = st.up[rows]
-            started = rows if alive.all() else rows[alive]
-            c.started = started
-            if started.size == 0:
-                return
-        else:
-            started = rows
-            c.started = started
-        g = st.hot[started]
-        now = self.sim.now  # == c.start
-        start = c.start
-        end = c.end
-        # carrier-sense horizon
-        bu = g[:, C_BUSY_UNTIL]
-        np.maximum(bu, end, out=bu)
-        # promiscuous energy charge
-        rl = g[:, C_RX_LAST]
-        if start >= rl.max():
-            # Every receiver is on the meter fast path (no rx overlap):
-            # identical per-node arithmetic, one scalar subtraction.
-            # Adjacent columns are written in fused slices (RX_LAST |
-            # RX_PREV, RX_TIME | RX_COUNT) to halve the ufunc dispatches.
-            charged = end - start
-            g[:, C_RX_LAST : C_RX_PREV + 1] = (end, start)
-            g[:, C_RX_TIME : C_RX_COUNT + 1] += (charged, 1.0)
-            st.class_col(st.rx_cls, c.cls)[started] += charged
-        else:
-            self._charge_overlapped(st, started, g, start, end, c.cls)
-        tracer = self.tracer
-        # half duplex: anyone still transmitting at arrival start?
-        txu = g[:, C_TX_UNTIL]
-        halfdup = None
-        if now < txu.max():
-            halfdup = now < txu
-            tracer.count("radio.halfduplex_loss", int(halfdup.sum()))
-        # collisions: anyone with another arrival in flight?
-        ac = g[:, C_ACTIVE]
-        ca = g[:, C_CLEAN]
-        if ac.max() > 0.0:
-            overlapping = ac > 0.0
-            n_coll = int(ca[overlapping].sum())
-            if halfdup is None:
-                n_coll += int(overlapping.sum())
-            else:
-                n_coll += int((overlapping & ~halfdup).sum())
-            if n_coll:
-                tracer.count("radio.collision", n_coll)
-            ca[overlapping] = 0.0
-            g[:, C_OVERLAP][overlapping] = now
-            if halfdup is None:
-                ca[~overlapping] += 1.0
-                c.corrupted_at_start = overlapping
-            else:
-                ca[~(overlapping | halfdup)] += 1.0
-                c.corrupted_at_start = overlapping | halfdup
-            ac += 1.0
-        elif halfdup is None:
-            # Common cohort: fused in-flight/clean increment.
-            g[:, C_ACTIVE : C_CLEAN + 1] += 1.0
-            c.corrupted_at_start = None  # nobody corrupted at start
-        else:
-            ca[~halfdup] += 1.0
-            c.corrupted_at_start = halfdup
-            ac += 1.0
-        st.hot[started] = g
-
-    @staticmethod
-    def _charge_overlapped(
-        st: NodeState,
-        started: np.ndarray,
-        g: np.ndarray,
-        start: float,
-        end: float,
-        cls: str,
-    ) -> None:
-        """Energy charge when some receiver has an overlapping rx charge.
-
-        Mirrors :meth:`repro.net.state.MeterView.note_rx` per row: *fast*
-        rows charge the whole interval, *mid* rows (arrival starts inside
-        the previously charged interval) charge only the extension beyond
-        the last charged edge.  Out-of-order charges raise — cohorts are
-        serviced in event-time order, so the meter's slow path is
-        unreachable.
-        """
-        rl = g[:, C_RX_LAST]
-        fast = start >= rl
-        charged = np.empty(rl.size)
-        charged[fast] = end - start
-        mid = ~fast
-        rp = g[:, C_RX_PREV]
-        if not (start >= rp[mid]).all():
-            raise RuntimeError(
-                "out-of-order rx charge in cohort "
-                "(start precedes a previously charged interval)"
-            )
-        charged[mid] = end - rl[mid]
-        rp[fast] = start
-        np.maximum(rl, end, out=rl)
-        pos = charged > 0.0
-        col = st.class_col(st.rx_cls, cls)
-        if pos.all():
-            g[:, C_RX_TIME] += charged
-            g[:, C_RX_COUNT] += 1.0
-            col[started] += charged
-        else:
-            g[:, C_RX_TIME][pos] += charged[pos]
-            g[:, C_RX_COUNT][pos] += 1.0
-            col[started[pos]] += charged[pos]
-
-    def _cohort_end(self, c: _Cohort) -> None:
-        """Finish reception: settle corruption, deliver clean frames.
-
-        An arrival was corrupted mid-flight iff some overlap happened at
-        this receiver at or after the arrival's start (events fire in
-        time order, so ``C_OVERLAP >= c.start`` can only come from an
-        overlap the arrival was active for — a same-instant overlap
-        before our start implies other arrivals were still active and we
-        were corrupted at start anyway).  The transmitting check uses the
-        event timestamp (``sim.now``), not ``c.end``: the end event is
-        scheduled at ``tx + (prop + duration)``, which can differ from
-        ``start + duration`` by one ULP, and the scalar path compares
-        against the event clock.
-
-        Same call-count discipline as ``_cohort_start``: one gather, one
-        scatter, ``max()`` probes before masks, and ``None`` standing for
-        all-clean / all-up / none-transmitting so the common cohort never
-        materializes a boolean array.  Deliveries run after the scatter,
-        in ascending node-id order (cohort rows are presorted), matching
-        the scalar fan-out's visit order.
-        """
-        started = c.started
-        if started is None or started.size == 0:
-            return
-        st = self.state
-        assert st is not None
-        g = st.hot[started]
-        start = c.start
-        cas = c.corrupted_at_start
-        lo = g[:, C_OVERLAP]
-        if cas is None and lo.max() < start:
-            clean = None  # every arrival survived
-        else:
-            corrupted = (lo >= start) if cas is None else cas | (lo >= start)
-            clean = ~corrupted
-        if clean is None:
-            # Common cohort: fused in-flight/clean decrement.
-            g[:, C_ACTIVE : C_CLEAN + 1] -= 1.0
-        else:
-            g[:, C_ACTIVE] -= 1.0
-            if not clean.any():
-                st.hot[started] = g
-                return
-            g[:, C_CLEAN][clean] -= 1.0
-        now = self.sim.now
-        txu = g[:, C_TX_UNTIL]
-        transmitting = (now < txu) if now < txu.max() else None
-        st.hot[started] = g
-        live = clean
-        if st.n_down:
-            up = st.up[started]
-            live = up if live is None else live & up
-        tracer = self.tracer
-        if transmitting is None:
-            ok = live
-        else:
-            half = transmitting if live is None else live & transmitting
-            n_half = int(half.sum())
-            if n_half:
-                # Started transmitting mid-reception (zero-backoff ACKs).
-                tracer.count("radio.halfduplex_loss", n_half)
-            ok = ~transmitting if live is None else live & ~transmitting
-        if ok is None:
-            ok_rows = started
-        else:
-            if not ok.any():
-                return
-            ok_rows = started[ok]
-        radios = self._row_radio
-        self._deliver_clean(c.frame, c.cls, [radios[r] for r in ok_rows.tolist()])
-
-    # ------------------------------------------------------------------
-    # vectorized fan-out, SINR capture mode (pathloss channel)
-    # ------------------------------------------------------------------
-    def _cohort_start_capture(self, c: _Cohort) -> None:
-        """Capture-mode cohort start: energy/busy as usual, then SINR state.
-
-        Shares the disc handler's liveness filter, carrier-sense
-        extension, promiscuous charge, and half-duplex accounting, but
-        instead of the collision columns it advances the per-receiver,
-        per-band running interference sums (``NodeState.interf``): add
-        this frame's rx power at every started receiver, then raise the
-        ``smax`` watermark of every other in-flight same-band cohort at
-        the receivers the two share.  The sums only increase at starts,
-        so each cohort's ``smax`` is exactly the max instantaneous
-        same-band power over its airtime — the same scalars the scalar
-        kernel's per-arrival bookkeeping computes, cell for cell.
-        """
-        st = self.state
-        assert st is not None
-        rows = c.rows
-        if st.n_down:
-            alive = st.up[rows]
-            if alive.all():
-                started = rows
-            else:
-                started = rows[alive]
-                c.rx_mw = c.rx_mw[alive]  # type: ignore[index]
-            c.started = started
-            if started.size == 0:
-                return
-        else:
-            started = rows
-            c.started = started
-        g = st.hot[started]
-        now = self.sim.now  # == c.start
-        start = c.start
-        end = c.end
-        bu = g[:, C_BUSY_UNTIL]
-        np.maximum(bu, end, out=bu)
-        rl = g[:, C_RX_LAST]
-        if start >= rl.max():
-            charged = end - start
-            g[:, C_RX_LAST : C_RX_PREV + 1] = (end, start)
-            g[:, C_RX_TIME : C_RX_COUNT + 1] += (charged, 1.0)
-            st.class_col(st.rx_cls, c.cls)[started] += charged
-        else:
-            self._charge_overlapped(st, started, g, start, end, c.cls)
-        txu = g[:, C_TX_UNTIL]
-        if now < txu.max():
-            halfdup = now < txu
-            self.tracer.count("radio.halfduplex_loss", int(halfdup.sum()))
-            c.corrupted_at_start = halfdup
-        else:
-            c.corrupted_at_start = None
-        st.hot[started] = g
-        band = c.band
-        col = st.interf[:, band]  # type: ignore[index]
-        s = col[started] + c.rx_mw
-        col[started] = s
-        c.smax = s
-        for other in self._active_cohorts:
-            if other.band != band:
-                continue
-            _, ia, ib = np.intersect1d(
-                other.started, started, assume_unique=True, return_indices=True
-            )
-            if ia.size:
-                other.smax[ia] = np.maximum(other.smax[ia], s[ib])
-        self._active_cohorts.append(c)
-
-    def _cohort_end_capture(self, c: _Cohort) -> None:
-        """Capture-mode cohort end: retire interference, SINR-test, deliver.
-
-        Mirrors the scalar ``Radio.arrival_end`` check order per
-        receiver — half-duplex-at-start, liveness, transmitting-now
-        (counts ``radio.halfduplex_loss``), then the SINR test
-        ``rx >= thr * (noise + (smax - rx))`` (failures count
-        ``radio.sinr_loss``) — with the identical elementwise float64
-        arithmetic, so metrics stay bit-identical across kernels.
-        """
-        started = c.started
-        if started is None or started.size == 0:
-            return
-        st = self.state
-        assert st is not None
-        self._active_cohorts.remove(c)
-        col = st.interf[:, c.band]  # type: ignore[index]
-        col[started] = col[started] - c.rx_mw
-        cas = c.corrupted_at_start
-        ok = None if cas is None else ~cas
-        if st.n_down:
-            up = st.up[started]
-            if not up.all():
-                ok = up if ok is None else ok & up
-        tracer = self.tracer
-        now = self.sim.now
-        txu = st.hot[started, C_TX_UNTIL]
-        if now < txu.max():
-            transmitting = now < txu
-            half = transmitting if ok is None else ok & transmitting
-            n_half = int(half.sum())
-            if n_half:
-                # Started transmitting mid-reception (zero-backoff ACKs).
-                tracer.count("radio.halfduplex_loss", n_half)
-            ok = ~transmitting if ok is None else ok & ~transmitting
-        if ok is None:
-            cand_rows, rx, smax = started, c.rx_mw, c.smax
-        else:
-            if not ok.any():
-                return
-            cand_rows = started[ok]
-            rx = c.rx_mw[ok]  # type: ignore[index]
-            smax = c.smax[ok]
-        good = rx >= self._thr * (self._noise_mw + (smax - rx))
-        if good.all():
-            ok_rows = cand_rows
-        else:
-            tracer.count("radio.sinr_loss", int((~good).sum()))
-            if not good.any():
-                return
-            ok_rows = cand_rows[good]
-        radios = self._row_radio
-        self._deliver_clean(c.frame, c.cls, [radios[r] for r in ok_rows.tolist()])
 
 
 class Radio:
@@ -1066,8 +601,7 @@ class Radio:
         self.up = True
         #: the channel's shared per-class rx count dict (hot-path alias)
         self._rx_class_counts = channel._rx_class_counts
-        #: per-band running interference sums (scalar kernel, capture
-        #: models; the vector kernel keeps these in NodeState)
+        #: per-band running interference sums (capture models)
         self._interf = [0.0] * channel._n_bands if channel._capture else None
         channel.register(self)
 
@@ -1138,62 +672,3 @@ class Radio:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Radio {self.node_id} at ({self.x:.1f},{self.y:.1f})>"
-
-
-class VectorRadio(Radio):
-    """Radio whose mutable state lives in the channel's SoA columns.
-
-    ``up`` / ``tx_until`` / ``busy_until`` become properties over
-    ``NodeState`` row ``_row`` (the class attributes shadow the parent's
-    slot descriptors), so the MAC and failure layers keep their exact
-    Radio API while cohort fan-outs read the same cells via fancy
-    indexing.  Getters convert to built-in ``bool``/``float`` — numpy
-    scalars must never reach simulator timestamps or JSON artifacts.
-
-    The row is allocated by the owning :class:`~repro.net.node.Node`
-    (meter view and radio share it) before ``Radio.__init__`` runs, so
-    the parent constructor's state writes already land in the arrays.
-    """
-
-    __slots__ = ("_st", "_row")
-
-    def __init__(
-        self,
-        node_id: int,
-        x: float,
-        y: float,
-        channel: Channel,
-        energy,
-        row: int,
-    ) -> None:
-        if channel.state is None:
-            raise ValueError("VectorRadio requires a vector-kernel channel")
-        self._st = channel.state
-        self._row = row
-        super().__init__(node_id, x, y, channel, energy)
-
-    @property
-    def up(self) -> bool:  # type: ignore[override]
-        return bool(self._st.up[self._row])
-
-    @up.setter
-    def up(self, value: bool) -> None:
-        # Routed through set_up so the channel's no-failures fast path
-        # (skip liveness masks while n_down == 0) stays exact.
-        self._st.set_up(self._row, bool(value))
-
-    @property
-    def tx_until(self) -> float:  # type: ignore[override]
-        return float(self._st.hot[self._row, C_TX_UNTIL])
-
-    @tx_until.setter
-    def tx_until(self, value: float) -> None:
-        self._st.hot[self._row, C_TX_UNTIL] = value
-
-    @property
-    def busy_until(self) -> float:  # type: ignore[override]
-        return float(self._st.hot[self._row, C_BUSY_UNTIL])
-
-    @busy_until.setter
-    def busy_until(self, value: float) -> None:
-        self._st.hot[self._row, C_BUSY_UNTIL] = value

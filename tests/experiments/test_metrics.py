@@ -72,6 +72,21 @@ class TestCollector:
         m.on_delivered(1, 9, item(0, 2, 2.0), 4.0)
         assert m.average_delay() == pytest.approx(1.5)
 
+    def test_average_delay_sums_left_to_right(self):
+        # A compensated sum (built-in sum() on CPython >= 3.12) gives 0.5.
+        m = MetricsCollector(warmup_end=0.0)
+        m.delays = [1.0, 1e100, 1.0, -1e100]
+        assert m.average_delay() == 0.0
+
+    def test_delivery_ratio_sums_left_to_right(self):
+        # Ratios 1, 1e-16, 1e-16: left to right the tiny ratios vanish
+        # against 1.0 and the mean is exactly 1/3; a compensated sum
+        # keeps them and rounds the mean up to 0.3333333333333334.
+        m = MetricsCollector(warmup_end=0.0)
+        m.sent = {1: 1, 2: 10**16, 3: 10**16}
+        m.delivered = {(iid, 9): {(0, 1)} for iid in m.sent}
+        assert m.delivery_ratio() == 1.0 / 3.0
+
 
 class TestRunMetrics:
     def _base(self, **kw):

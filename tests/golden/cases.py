@@ -5,7 +5,8 @@
 :data:`CASES`, with every float written as ``float.hex`` so equality is
 bit-for-bit, under ``"cases"``.  ``"python"`` names the CPython minor
 version that wrote it: float results are only pinned on that version
-(``sum()`` over floats, for one, became compensated in 3.12).
+(``sum()`` over floats, for one, became compensated in 3.12; the metrics
+no longer use it, but other last-bit differences are not ruled out).
 ``test_run_metrics.py`` re-runs the configs and compares.
 
 An intentional behaviour change regenerates the fixture in the same

@@ -1,21 +1,28 @@
 """Committed golden RunMetrics must reproduce exactly.
 
-The kernel- and channel-equivalence suites compare implementations with
-each other; this pins them all to values recorded once, so a change
-that moves every implementation together still fails here.  Regenerate
+The channel-equivalence suite compares implementations with each
+other; this pins them all to values recorded once, so a change that
+moves every implementation together still fails here.  Regenerate
 with ``PYTHONPATH=src python -m tests.golden.cases --write`` only for an
 intentional behaviour change.
 
 The values are compared only on the CPython minor version that wrote
-the fixture: other versions may round float sums differently (``sum()``
-over floats is compensated since 3.12), and a tolerance would hide the
-very drift this test exists to catch.
+the fixture: the metrics avoid ``sum()`` over floats (compensated
+since 3.12), but other last-bit differences between versions are not
+ruled out, and a tolerance would hide the very drift this test exists
+to catch.
+
+The observability test runs a few of the same configs with the auditor
+and the probe timeline attached: instruments must not change a run.
 """
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.experiments.runner import run_observed
+from repro.obs import ObsOptions
 from tests.golden.cases import CASES, FIXTURE, PYTHON, compute
 
 GOLDEN = json.loads(FIXTURE.read_text())
@@ -33,3 +40,15 @@ def test_fixture_covers_every_case():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_run_metrics_match_golden(name):
     assert compute(name) == GOLDEN["cases"][name]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["greedy-pathloss-100", "opportunistic-pathloss-nocapture-100", "greedy-failures-100"],
+)
+def test_audit_and_timeline_do_not_change_metrics(name):
+    cfg = CASES[name]
+    plain = run_observed(cfg)
+    observed = run_observed(cfg, ObsOptions(audit=True, timeline=True))
+    assert dataclasses.asdict(observed.metrics) == dataclasses.asdict(plain.metrics)
+    assert observed.audit["ok"], observed.audit["findings"]

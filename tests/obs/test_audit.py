@@ -172,15 +172,12 @@ class TestAuditorOnLiveRuns:
 
     def test_injected_fault_is_caught(self):
         # Tamper with one node's attribution after a clean audited run:
-        # the finalize-time checker must catch it.  Uses the scalar
-        # kernel, whose meters expose their live per-class dict (the
-        # vector kernel's MeterView materializes a copy per read, so
-        # this mutation would silently miss the backing columns).
+        # the finalize-time checker must catch it.
         from repro.experiments.runner import build_world
         from repro.obs import ObsOptions
 
         cfg = smoke_cfg()
-        world = build_world(cfg, ObsOptions(audit=True), kernel="scalar")
+        world = build_world(cfg, ObsOptions(audit=True))
         auditor = Auditor()
         auditor.attach(world.tracer)
         world.sim.run(until=cfg.duration)
